@@ -123,7 +123,8 @@ func StandardLibraries(seed uint64, scale float64) (ozd, ord *Library) {
 func MoleculeFromID(id uint64) *Molecule { return chem.FromID(id) }
 
 // Campaign service types: the long-lived multi-tenant evaluation server
-// (job queue + bounded worker pool + sharded score cache + HTTP API).
+// (job queue + leases to local slots and remote workers + sharded score
+// cache + HTTP API).
 type (
 	// Service is a long-lived multi-tenant campaign evaluation service.
 	Service = service.Service
@@ -180,7 +181,6 @@ var ErrLeaseLost = service.ErrLeaseLost
 const (
 	JobQueued   = service.StateQueued
 	JobLeased   = service.StateLeased
-	JobRunning  = service.StateRunning
 	JobDone     = service.StateDone
 	JobFailed   = service.StateFailed
 	JobCanceled = service.StateCanceled

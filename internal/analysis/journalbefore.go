@@ -15,12 +15,12 @@ import (
 // record that is not preceded, in the same function, by a journal
 // append.
 //
-// The invariant has three deliberate exceptions, each carrying an
-// //impeccable:unjournaled directive at the site: the in-process
-// execute path (journals after the run, so drain interruptions resume
-// instead of acking), the drain itself (interrupted jobs must stay
-// in-flight in the journal), and journal replay (which applies states
-// read from the journal).
+// The invariant has two deliberate exceptions, each carrying an
+// //impeccable:unjournaled directive at the site: the drain (queued
+// jobs it interrupts must stay pending in the journal) and journal
+// replay (which applies states read from the journal). Every job runs
+// under a lease, so every other terminal write — cancel and complete —
+// journals first.
 type JournalBefore struct {
 	// Packages lists the import paths under the invariant.
 	Packages []string

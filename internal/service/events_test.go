@@ -24,7 +24,7 @@ func TestEventBusSemantics(t *testing.T) {
 		b.publish(JobEvent{Job: "j1", Type: typ, State: st, Time: time.Now()})
 	}
 	pub(evTypeState, StateQueued)
-	pub(evTypeProgress, StateRunning)
+	pub(evTypeProgress, StateLeased)
 	pub(evTypeState, StateDone)
 
 	// A late subscriber replays the whole ring and the stream ends.
@@ -65,7 +65,7 @@ func TestEventBusRingPrune(t *testing.T) {
 	b := newEventBus(nil)
 	sub := b.subscribe("j1", 0)
 	for i := 0; i < maxRingEvents+50; i++ {
-		b.publish(JobEvent{Job: "j1", Type: evTypeProgress, State: StateRunning})
+		b.publish(JobEvent{Job: "j1", Type: evTypeProgress, State: StateLeased})
 	}
 	evs, over := b.next("j1", sub)
 	if over {
@@ -317,7 +317,7 @@ func TestMetricsReflectSchedulerState(t *testing.T) {
 		`impeccable_jobs_terminal_total{state="done"}`: 1,
 		`impeccable_jobs{state="done"}`:                1,
 		`impeccable_jobs{state="queued"}`:              0,
-		`impeccable_jobs{state="running"}`:             0,
+		`impeccable_jobs{state="leased"}`:              0,
 		"impeccable_queue_depth":                       0,
 		"impeccable_leases_active":                     0,
 		"impeccable_funnel_runs_total":                 1,
@@ -333,7 +333,7 @@ func TestMetricsReflectSchedulerState(t *testing.T) {
 			t.Errorf("%s = %v, want %v", series, got, v)
 		}
 	}
-	// At least queued → running → done was published on the bus.
+	// At least queued → leased → done was published on the bus.
 	if v := vals["impeccable_events_published_total"]; v < 3 {
 		t.Errorf("impeccable_events_published_total = %v, want >= 3", v)
 	}

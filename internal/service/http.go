@@ -123,7 +123,7 @@ func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("state"); v != "" {
 		st := JobState(v)
 		switch st {
-		case StateQueued, StateLeased, StateRunning, StateDone, StateFailed, StateCanceled:
+		case StateQueued, StateLeased, StateDone, StateFailed, StateCanceled:
 			q.State = st
 		default:
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown state %q", v))
@@ -162,7 +162,7 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	// The snapshot comes back from the cancel itself (taken under the
 	// job's lock): re-reading through the record table here could race
 	// a concurrent completion's prune and misreport the outcome.
-	snap, err := s.sched.cancelJobTraced(r.PathValue("id"), RequestIDFrom(r.Context()))
+	snap, err := s.sched.cancelJob(r.PathValue("id"), RequestIDFrom(r.Context()))
 	switch {
 	case errors.Is(err, ErrUnknownJob):
 		writeError(w, http.StatusNotFound, "unknown job")
@@ -395,6 +395,9 @@ func (s *Service) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "worker_id is required")
 		return
 	}
+	if !remoteWorkerID(w, req.WorkerID) {
+		return
+	}
 	grant, err := s.Lease(req.WorkerID, time.Duration(req.TTLSeconds*float64(time.Second)))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
@@ -428,7 +431,11 @@ type heartbeatResponse struct {
 
 func (s *Service) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !decodeBody(w, r, maxSubmitBody, looseFields, &req) {
+	if !decodeBody(w, r, maxSubmitBody, looseFields, &req) || !remoteWorkerID(w, req.WorkerID) {
+		return
+	}
+	if !(req.Progress >= 0 && req.Progress <= 1) {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("progress %v outside [0, 1]", req.Progress))
 		return
 	}
 	expires, err := s.Heartbeat(req.WorkerID, req.Token, req.JobID, req.Stage, req.Progress)
@@ -450,7 +457,7 @@ type CompleteRequest struct {
 
 func (s *Service) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if !decodeBody(w, r, maxCompleteBody, looseFields, &req) {
+	if !decodeBody(w, r, maxCompleteBody, looseFields, &req) || !remoteWorkerID(w, req.WorkerID) {
 		return
 	}
 	if !writeWorkerError(w, s.Complete(req.WorkerID, req.Token, req.JobID, req.WorkerResult)) {
@@ -469,6 +476,17 @@ func (s *Service) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, snap)
+}
+
+// remoteWorkerID rejects (400) a worker ID carrying the prefix reserved
+// for the coordinator's own slots, reporting whether the request may
+// proceed.
+func remoteWorkerID(w http.ResponseWriter, id string) bool {
+	if isLocalWorker(id) {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("worker_id prefix %q is reserved for the coordinator's own slots", LocalWorkerPrefix))
+		return false
+	}
+	return true
 }
 
 // writeWorkerError maps lease-protocol errors onto status codes (404

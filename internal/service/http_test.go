@@ -131,7 +131,7 @@ func TestHTTPCancel(t *testing.T) {
 	id := snap.ID
 	for deadline := time.Now().Add(30 * time.Second); ; {
 		doJSON(t, "GET", srv.URL+"/api/v1/campaigns/"+id, nil, &snap)
-		if snap.State == StateRunning {
+		if snap.State == StateLeased {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -249,7 +249,7 @@ func TestHTTPQueueFull429(t *testing.T) {
 	// remain.
 	for deadline := time.Now().Add(30 * time.Second); ; {
 		doJSON(t, "GET", srv.URL+"/api/v1/campaigns/"+snap.ID, nil, &snap)
-		if snap.State == StateRunning {
+		if snap.State == StateLeased {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -458,7 +458,8 @@ func TestHTTPRetryAfterDerived(t *testing.T) {
 
 // TestHTTPWorkerEndpointErrors walks the lease protocol's error
 // surface over real HTTP: missing worker_id, unknown jobs, foreign
-// workers and no-work 204s.
+// workers, no-work 204s, out-of-range progress and the reserved
+// local-slot worker IDs.
 func TestHTTPWorkerEndpointErrors(t *testing.T) {
 	s := NewService(Options{RemoteOnly: true, CacheShards: 4})
 	srv := httptest.NewServer(s.Handler())
@@ -528,6 +529,25 @@ func TestHTTPWorkerEndpointErrors(t *testing.T) {
 	if code := doJSON(t, "POST", srv.URL+"/api/v1/worker/heartbeat",
 		map[string]any{"worker_id": "w1", "token": grant.Token, "job_id": id, "stage": "s1-dock", "progress": 0.5}, &hb); code != http.StatusOK {
 		t.Fatalf("holder heartbeat = %d", code)
+	}
+	// Progress outside [0, 1] is a 400, even from the holder, and leaves
+	// the reported progress alone.
+	for _, p := range []float64{7, -0.5} {
+		if code := doJSON(t, "POST", srv.URL+"/api/v1/worker/heartbeat",
+			map[string]any{"worker_id": "w1", "token": grant.Token, "job_id": id, "progress": p}, &apiErr); code != http.StatusBadRequest {
+			t.Fatalf("heartbeat with progress %v = %d, want 400", p, code)
+		}
+	}
+	if snap, _ := s.Status(id); snap.Progress != 0.5 {
+		t.Fatalf("progress after rejected heartbeats = %v, want 0.5", snap.Progress)
+	}
+	// The local/ prefix names the coordinator's own slots: no remote
+	// caller may lease, heartbeat or complete under it.
+	for _, path := range []string{"lease", "heartbeat", "complete"} {
+		if code := doJSON(t, "POST", srv.URL+"/api/v1/worker/"+path,
+			map[string]any{"worker_id": LocalWorkerPrefix + "0", "token": grant.Token, "job_id": id, "canceled": true}, &apiErr); code != http.StatusBadRequest {
+			t.Fatalf("%s as %s0 = %d, want 400", path, LocalWorkerPrefix, code)
+		}
 	}
 	var snap JobSnapshot
 	if code := doJSON(t, "POST", srv.URL+"/api/v1/worker/complete",

@@ -86,12 +86,15 @@ type eventKind string
 
 const (
 	evSubmitted eventKind = "submitted"
-	evStarted   eventKind = "started"
-	evLeased    eventKind = "leased"   // handed to a remote worker under a TTL lease
-	evRequeued  eventKind = "requeued" // lease expired; job back in the queue
-	evDone      eventKind = "done"
-	evFailed    eventKind = "failed"
-	evCanceled  eventKind = "canceled"
+	// evStarted is no longer written: it marked an in-process run
+	// before every run held a lease. Replay still reads it so older
+	// journals open.
+	evStarted  eventKind = "started"
+	evLeased   eventKind = "leased"   // handed to a worker under a TTL lease
+	evRequeued eventKind = "requeued" // lease expired or preempted; job back in the queue
+	evDone     eventKind = "done"
+	evFailed   eventKind = "failed"
+	evCanceled eventKind = "canceled"
 	// evSealed closes a job's provenance chain: appended automatically
 	// after the terminal event, carrying the Merkle root over the job's
 	// event hashes. No effect on replayed state.
@@ -693,11 +696,12 @@ func jobNumber(id string) (int, bool) {
 // replayJournal reduces the event stream to restorable job records in
 // submission order, plus the highest job number seen (so a reopened
 // scheduler continues the ID sequence without collisions). Jobs left
-// non-terminal by the stream come back StateQueued with a fresh cancel
-// channel, ready to re-enqueue — except jobs whose last event is a
-// lease, which come back StateLeased with the holder preserved so the
-// worker can re-attach across the restart; duplicate started events (a
-// job interrupted once already) simply overwrite the start time.
+// non-terminal by the stream come back StateQueued, ready to
+// re-enqueue — except jobs whose last event is a lease, which come back
+// StateLeased with the holder preserved so the worker can re-attach
+// across the restart (restore requeues a local slot's lease instead);
+// duplicate started or leased events (a job interrupted once already)
+// simply overwrite the start time.
 //
 // Spilled SubmitRequests are resolved eagerly through blobs (listings
 // and reruns need Target and Seed); spilled summaries stay refs and
@@ -765,7 +769,6 @@ func replayJournal(events []journalEvent, blobs blob.Store) (jobs []*job, maxID 
 				finished:    ev.Time,
 				err:         ev.Error,
 				leaseWorker: ev.Worker,
-				cancel:      make(chan struct{}),
 			}
 			if ev.Submitted != nil {
 				j.submitted = *ev.Submitted
@@ -799,7 +802,6 @@ func replayJournal(events []journalEvent, blobs blob.Store) (jobs []*job, maxID 
 				req:       *req,
 				state:     StateQueued,
 				submitted: ev.Time,
-				cancel:    make(chan struct{}),
 			})
 			continue
 		}
@@ -837,9 +839,9 @@ func replayJournal(events []journalEvent, blobs blob.Store) (jobs []*job, maxID 
 		}
 	}
 	// Interrupted jobs rerun from scratch: reset the stale start time so
-	// their snapshots read as queued until a worker re-pops them. Leased
-	// jobs keep theirs — the remote worker may still be running and
-	// re-attach after the restart (restore re-arms the lease TTL).
+	// their snapshots read as queued until a worker leases them again.
+	// Leased jobs keep theirs — the remote worker may still be running
+	// and re-attach after the restart (restore re-arms the lease TTL).
 	for _, j := range jobs {
 		if !j.state.Terminal() && j.state != StateLeased {
 			j.started = time.Time{}

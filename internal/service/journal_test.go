@@ -51,12 +51,14 @@ func stateDirForTest(t *testing.T) string {
 	return t.TempDir()
 }
 
-// crash simulates an unclean shutdown for tests: the workers stop and
-// the journal file is closed, but no drain bookkeeping reaches the
-// journal and no final cache checkpoint is written — exactly the state
-// a kill -9 leaves behind (the journal is fsynced per event).
+// crash simulates an unclean shutdown for tests: the scheduler and
+// the local slots stop and the journal file is closed, but no drain
+// bookkeeping reaches the journal and no final cache checkpoint is
+// written — exactly the state a kill -9 leaves behind (the journal is
+// fsynced per event).
 func crash(s *Service) {
 	s.sched.shutdown()
+	s.stopSlots()
 	s.stopOnce.Do(func() {
 		close(s.snapStop)
 		s.snapWG.Wait()
@@ -108,7 +110,7 @@ func TestRestartRecovery(t *testing.T) {
 	}
 	for deadline := time.Now().Add(30 * time.Second); ; {
 		snap, _ := s1.Status(idB)
-		if snap.State == StateRunning {
+		if snap.State == StateLeased {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -209,6 +211,96 @@ func TestRestartRecovery(t *testing.T) {
 	}
 }
 
+// TestLocalLeaseResumesAfterDrain: a job a local slot holds when the
+// service drains keeps its lease in the journal, and the reopened
+// service puts it straight back in the queue — not one lease TTL later
+// — where it reruns to science byte-identical to a cold run, served
+// entirely from the restored cache.
+func TestLocalLeaseResumesAfterDrain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two full (small) campaigns")
+	}
+	dir := stateDirForTest(t)
+	open := func(remoteOnly bool) *Service {
+		t.Helper()
+		s, err := Open(Options{Workers: 1, RemoteOnly: remoteOnly, CacheShards: 8, StateDir: dir, LeaseTTL: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	local0 := LocalWorkerPrefix + "0"
+
+	// The cold reference run, whose labels the checkpoint keeps.
+	s1 := open(false)
+	idA, err := s1.Submit(smallReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapA, err := s1.Wait(idA, 5*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapA.State != StateDone || snapA.Worker != local0 {
+		t.Fatalf("cold job = %+v, want done by %s", snapA, local0)
+	}
+	sumA, err := s1.Result(idA)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	idB, err := s1.Submit(smallReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		snap, _ := s1.Status(idB)
+		if snap.State == StateLeased && snap.Worker == local0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job B never leased by %s: %+v", local0, snap)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s1.Shutdown()
+
+	// Replay with no slot to take the job: it is queued and its dead
+	// lease is gone. The requeue is not journaled, so a second replay
+	// must agree.
+	for i := 0; i < 2; i++ {
+		s := open(true)
+		snap, ok := s.Status(idB)
+		s.Shutdown()
+		if !ok || snap.State != StateQueued || snap.Worker != "" || snap.Started != nil {
+			t.Fatalf("replay %d: job B = %+v (ok=%v), want queued with no holder", i, snap, ok)
+		}
+	}
+
+	s2 := open(false)
+	defer s2.Shutdown()
+	snapB, err := s2.Wait(idB, 5*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapB.State != StateDone || snapB.Worker != local0 {
+		t.Fatalf("resumed job B = %+v, want done by %s", snapB, local0)
+	}
+	sumB, err := s2.Result(idB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(science(sumB.Funnel.Counts()), science(sumA.Funnel.Counts())) {
+		t.Fatalf("resumed counts diverged: %+v vs %+v", sumB.Funnel.Counts(), sumA.Funnel.Counts())
+	}
+	if !reflect.DeepEqual(sumB.Top, sumA.Top) {
+		t.Fatalf("resumed top-K diverged:\n%+v\nvs\n%+v", sumB.Top, sumA.Top)
+	}
+	if sumB.Funnel.DockEvals != 0 {
+		t.Fatalf("resumed job spent %d dock evals against the restored cache", sumB.Funnel.DockEvals)
+	}
+}
+
 // TestCanceledWhileQueuedSnapshot pins the canceled-while-queued shape
 // (Finished set, Started nil) across cancel, crash and replay, and that
 // no negative duration is ever derived from it.
@@ -231,7 +323,7 @@ func TestCanceledWhileQueuedSnapshot(t *testing.T) {
 	}
 	for deadline := time.Now().Add(30 * time.Second); ; {
 		snap, _ := s1.Status(idBlock)
-		if snap.State == StateRunning {
+		if snap.State == StateLeased {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -45,14 +45,14 @@ func (m *memJournal) kinds(job string) []eventKind {
 	return out
 }
 
-// remoteScheduler builds a coordinator-style scheduler: no in-process
-// workers, jobs move only through the lease protocol.
+// remoteScheduler builds a bare scheduler: without a Service there are
+// no local slots, so jobs move only through explicit lease calls.
 func remoteScheduler(ttl time.Duration, jl *memJournal) *scheduler {
-	cfg := schedConfig{remoteOnly: true, leaseTTL: ttl}
+	cfg := schedConfig{leaseTTL: ttl}
 	if jl != nil {
 		cfg.record = jl.record
 	}
-	return newScheduler(cfg, func(*job) {})
+	return newScheduler(cfg)
 }
 
 func stateOf(t *testing.T, s *scheduler, id string) JobState {
@@ -87,7 +87,7 @@ func TestLeaseLifecycle(t *testing.T) {
 	s := remoteScheduler(time.Minute, jl)
 	defer s.shutdown()
 
-	id, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
+	id, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	defer s.shutdown()
 
 	req := SubmitRequest{Target: "PLPro", Seed: 42, LibOffset: 7}
-	id, err := s.submit(req, time.Now())
+	id, err := s.submit(req, time.Now(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestExpiryRequeueOrder(t *testing.T) {
 	now := time.Now()
 	var ids []string
 	for i := 0; i < 5; i++ {
-		id, err := s.submit(SubmitRequest{Target: "PLPro"}, now)
+		id, err := s.submit(SubmitRequest{Target: "PLPro"}, now, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,12 +286,12 @@ func TestCancelLeasedJob(t *testing.T) {
 	jl := &memJournal{}
 	s := remoteScheduler(time.Minute, jl)
 	defer s.shutdown()
-	id, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
+	id, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
 	if _, err := s.lease("w1", 0, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	tok := tokenOf(t, s, id)
-	if _, err := s.cancelJob(id); err != nil {
+	if _, err := s.cancelJob(id, ""); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
 	if st := stateOf(t, s, id); st != StateCanceled {
@@ -315,14 +315,14 @@ func TestCancelCompleteJournalBeforeApply(t *testing.T) {
 	jl := &memJournal{}
 	s := remoteScheduler(time.Hour, jl)
 	defer s.shutdown()
-	id, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
+	id, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
 	if _, err := s.lease("w1", 0, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	tok := tokenOf(t, s, id)
 
 	jl.setFail(true)
-	if _, err := s.cancelJob(id); !errors.Is(err, ErrShuttingDown) {
+	if _, err := s.cancelJob(id, ""); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("cancel with dead journal = %v, want ErrShuttingDown", err)
 	}
 	if err := s.completeRemote("w1", tok, id, StateDone, "", &ResultSummary{}, time.Now()); !errors.Is(err, ErrShuttingDown) {
@@ -351,7 +351,7 @@ func TestCancelCompleteJournalBeforeApply(t *testing.T) {
 
 	// After shutdown both are refused up front, same sentinel.
 	s.shutdown()
-	if _, err := s.cancelJob(id); !errors.Is(err, ErrShuttingDown) {
+	if _, err := s.cancelJob(id, ""); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("cancel after shutdown = %v, want ErrShuttingDown", err)
 	}
 	if err := s.completeRemote("w1", tok, id, StateDone, "", &ResultSummary{}, time.Now()); !errors.Is(err, ErrShuttingDown) {
@@ -369,7 +369,7 @@ func TestSchedulerCounts(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 3; i++ {
-		id, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
+		id, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +399,7 @@ func TestSchedulerCounts(t *testing.T) {
 	}
 	check("after complete", map[JobState]int{StateQueued: 2, StateDone: 1})
 
-	s.cancelJob(ids[1])
+	s.cancelJob(ids[1], "")
 	// maxRecords=1: the canceled job displaces the done one from the
 	// table, and the tallies must follow the table.
 	check("after cancel+prune", map[JobState]int{StateQueued: 1, StateCanceled: 1})
@@ -408,10 +408,18 @@ func TestSchedulerCounts(t *testing.T) {
 // TestRetryAfterDerivation pins the 429 hint formula: queue depth ×
 // recent mean duration over available slots, clamped to [1s, 60s].
 func TestRetryAfterDerivation(t *testing.T) {
-	// remoteOnly: no worker goroutines pop the placeholder entries the
-	// test stuffs into pending.
+	// Two held leases are the two execution slots; no slot goroutines
+	// exist to lease the placeholder entries the test stuffs into
+	// pending.
 	s := remoteScheduler(time.Hour, nil)
-	s.workerSlots = 2
+	for _, w := range []string{"w1", "w2"} {
+		if _, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), ""); err != nil {
+			t.Fatal(err)
+		}
+		if j, err := s.lease(w, 0, time.Now()); err != nil || j == nil {
+			t.Fatalf("lease %s = %v, %v", w, j, err)
+		}
+	}
 	// stuffPending swaps placeholder jobs into the default tenant's
 	// queue; pendingN is what the formula reads.
 	stuffPending := func(sc *scheduler, n int) {

@@ -20,11 +20,11 @@ type JobState string
 
 const (
 	StateQueued JobState = "queued"
-	// StateLeased marks a job handed to a remote worker under a TTL
-	// lease; a worker that stops heartbeating loses the lease and the
-	// job re-enters the queue under its original ID.
+	// StateLeased marks a job handed to a worker — one of the
+	// coordinator's own slots or a remote process — under a TTL lease;
+	// a holder that stops heartbeating loses the lease and the job
+	// re-enters the queue under its original ID.
 	StateLeased   JobState = "leased"
-	StateRunning  JobState = "running"
 	StateDone     JobState = "done"
 	StateFailed   JobState = "failed"
 	StateCanceled JobState = "canceled"
@@ -33,7 +33,7 @@ const (
 // countedStates enumerates every state once, indexing the scheduler's
 // incrementally maintained per-state counters.
 var countedStates = [...]JobState{
-	StateQueued, StateLeased, StateRunning, StateDone, StateFailed, StateCanceled,
+	StateQueued, StateLeased, StateDone, StateFailed, StateCanceled,
 }
 
 const numStates = len(countedStates)
@@ -74,16 +74,6 @@ type job struct {
 	// store when replay restored the job from a ref instead of an
 	// inline summary; Service.Result resolves and caches it lazily.
 	summaryRef *blob.Ref
-	cancel     chan struct{}
-	cancelOnce sync.Once
-	// drainCanceled marks a job interrupted by a graceful drain rather
-	// than by user intent: its terminal state is not journaled, so a
-	// reopened service re-enqueues it instead of serving "canceled".
-	drainCanceled bool
-	// userCanceled marks an explicit cancel request. A drain that
-	// overlaps one must not suppress its terminal journal event — the
-	// user's cancel survives restarts.
-	userCanceled bool
 	// queuedAt is when the job last entered its tenant's pending queue
 	// (submit, lease-expiry requeue, or preemption). Guarded by
 	// scheduler.mu, not j.mu: every writer and the preemption arbiter
@@ -91,7 +81,7 @@ type job struct {
 	// already hold the scheduler lock.
 	queuedAt time.Time
 
-	// Lease bookkeeping: which remote worker holds the job, until when,
+	// Lease bookkeeping: which worker holds the job, until when,
 	// and the TTL each heartbeat extends the lease by. leaseWorker is
 	// kept after completion so listings show which worker ran the job.
 	// leaseToken is the per-lease secret the holder must present on
@@ -109,9 +99,13 @@ type job struct {
 	lastBeat time.Time
 }
 
-// requestCancel closes the job's cancel channel exactly once.
-func (j *job) requestCancel() {
-	j.cancelOnce.Do(func() { close(j.cancel) })
+// unleaseLocked puts a leased job back to queued, dropping its lease
+// bookkeeping and stale progress; callers hold j.mu.
+func (j *job) unleaseLocked() {
+	j.state = StateQueued
+	j.leaseWorker, j.leaseToken = "", ""
+	j.started, j.lastBeat = time.Time{}, time.Time{}
+	j.stage, j.progress = "", 0
 }
 
 // snapshotLocked builds a JobSnapshot; callers hold j.mu.
@@ -168,8 +162,9 @@ type JobSnapshot struct {
 	Submitted time.Time  `json:"submitted_at"`
 	Started   *time.Time `json:"started_at,omitempty"`
 	Finished  *time.Time `json:"finished_at,omitempty"`
-	// Worker is the remote worker that holds (or last held) the job's
-	// lease; empty for jobs executed in-process.
+	// Worker is the worker that holds (or last held) the job's lease:
+	// a remote worker's ID, or "local/N" for the coordinator's own
+	// in-process slot N.
 	Worker string `json:"worker,omitempty"`
 	// Lease liveness, present only while the job is leased: when the
 	// lease lapses unless renewed, and how many seconds ago the holder
@@ -199,10 +194,10 @@ var ErrQueueFull = errors.New("service: submission queue is full")
 // surfaces it as 503, matching the draining health probe).
 var ErrShuttingDown = errors.New("service: shutting down")
 
-// ErrLeaseLost is returned to a remote worker whose lease on a job is
-// no longer valid: it expired and the job was re-enqueued (possibly
-// re-leased to another worker), or the job was canceled. The worker
-// must abandon the run; the coordinator owns the job again.
+// ErrLeaseLost is returned to a worker whose lease on a job is no
+// longer valid: it expired or was preempted and the job was re-enqueued
+// (possibly re-leased to another worker), or the job was canceled. The
+// worker must abandon the run; the coordinator owns the job again.
 var ErrLeaseLost = errors.New("service: lease lost")
 
 // Lease TTL bounds. A worker-requested TTL is clamped to
@@ -220,11 +215,9 @@ const durSamples = 32
 
 // schedConfig bundles the scheduler's construction parameters.
 type schedConfig struct {
-	workers     int
-	remoteOnly  bool          // no in-process workers: jobs run only via leases
-	leaseTTL    time.Duration // default remote lease TTL; 0 = defaultLeaseTTL
-	maxQueued   int           // per-tenant pending bound for tenants without their own; 0 = unbounded
-	maxRecords  int           // retained terminal jobs; 0 = unbounded
+	leaseTTL   time.Duration // default lease TTL; 0 = defaultLeaseTTL
+	maxQueued  int           // per-tenant pending bound for tenants without their own; 0 = unbounded
+	maxRecords int           // retained terminal jobs; 0 = unbounded
 	// limits resolves a tenant's configured limits; nil means every
 	// tenant gets the defaults (weight 1, maxQueued above).
 	limits func(tenant string) TenantLimits
@@ -234,18 +227,15 @@ type schedConfig struct {
 	preemptAfter time.Duration
 	record       func(journalEvent) error   // journal appender; nil = in-memory only
 	recordBatch  func([]journalEvent) error // many events, one fsync; nil = record per event
-	onTerminal   func()                     // runs after each job's terminal event
 	met          *metrics                   // instrument sink; nil = private registry
 	bus          *eventBus                  // lifecycle event fan-out; nil = private bus
 }
 
-// scheduler runs queued jobs over a bounded worker pool and hands jobs
-// to remote workers under TTL leases. Pending work lives in per-tenant
-// queues arbitrated by deficit round-robin, so one tenant's flood
-// cannot starve another's trickle.
+// scheduler hands queued jobs to workers — the coordinator's own slots
+// and remote processes alike — under TTL leases. Pending work lives in
+// per-tenant queues arbitrated by deficit round-robin, so one tenant's
+// flood cannot starve another's trickle.
 type scheduler struct {
-	run          func(*job) // executes one job's campaign
-	workerSlots  int        // in-process worker goroutines
 	leaseTTL     time.Duration
 	maxQueued    int // per-tenant default pending bound
 	maxRecords   int
@@ -253,7 +243,6 @@ type scheduler struct {
 	preemptAfter time.Duration
 	record       func(journalEvent) error
 	recordBatch  func([]journalEvent) error
-	onTerminal   func()
 	met          *metrics
 	bus          *eventBus
 
@@ -268,37 +257,30 @@ type scheduler struct {
 	ring     []string
 	ringCur  int
 	pendingN int             // total pending jobs across all tenants
-	leases   map[string]*job // jobs currently out on a remote lease
+	leases   map[string]*job // jobs currently out on a lease: the execution slots
 	nextID   int
 	closed   bool
-	draining bool // drain in progress: pop hands out nothing
+	draining bool // drain in progress: lease hands out nothing
 
 	// stateN maintains per-state job tallies incrementally so health
 	// probes are O(states), not O(jobs × mutex). Updated at every
 	// transition by the goroutine holding the job's mutex.
 	stateN [numStates]atomic.Int64
 
-	// durRing holds the durations of recently finished runs (local and
-	// remote), feeding retryAfterSeconds.
+	// durRing holds the durations of recently finished runs, feeding
+	// retryAfterSeconds.
 	durRing [durSamples]time.Duration
 	durIdx  int
 	durN    int
 
-	wake chan struct{} // pokes idle workers; buffered
+	wake chan struct{} // pokes idle local slots; see poke
 	quit chan struct{}
 	wg   sync.WaitGroup
 }
 
-// newScheduler starts workers goroutines draining the queue plus the
-// lease-expiry watchdog.
-func newScheduler(cfg schedConfig, run func(*job)) *scheduler {
-	workers := cfg.workers
-	if workers < 1 {
-		workers = 1
-	}
-	if cfg.remoteOnly {
-		workers = 0
-	}
+// newScheduler builds a scheduler and starts its lease-expiry and
+// preemption watchdog.
+func newScheduler(cfg schedConfig) *scheduler {
 	ttl := cfg.leaseTTL
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
@@ -314,8 +296,6 @@ func newScheduler(cfg schedConfig, run func(*job)) *scheduler {
 		bus = newEventBus(met)
 	}
 	s := &scheduler{
-		run:          run,
-		workerSlots:  workers,
 		leaseTTL:     ttl,
 		maxQueued:    cfg.maxQueued,
 		maxRecords:   cfg.maxRecords,
@@ -323,22 +303,27 @@ func newScheduler(cfg schedConfig, run func(*job)) *scheduler {
 		preemptAfter: cfg.preemptAfter,
 		record:       cfg.record,
 		recordBatch:  cfg.recordBatch,
-		onTerminal:   cfg.onTerminal,
 		met:          met,
 		bus:          bus,
 		jobs:         make(map[string]*job),
 		tenants:      make(map[string]*tenantQueue),
 		leases:       make(map[string]*job),
-		wake:         make(chan struct{}, workers+1),
+		wake:         make(chan struct{}, 1),
 		quit:         make(chan struct{}),
-	}
-	for i := 0; i < workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
 	}
 	s.wg.Add(1)
 	go s.leaseLoop()
 	return s
+}
+
+// poke wakes one idle local slot without blocking. A slot that leases
+// a job pokes again, so a burst of work fans out across idle slots
+// through the one-slot buffer.
+func (s *scheduler) poke() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
 }
 
 // countMove shifts one job between per-state tallies.
@@ -431,7 +416,7 @@ func (s *scheduler) tenantQueueDepths() map[string]int {
 	return out
 }
 
-// activeLeases reports the jobs currently out on a remote lease.
+// activeLeases reports the jobs currently out on a lease.
 func (s *scheduler) activeLeases() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -440,15 +425,11 @@ func (s *scheduler) activeLeases() int {
 
 // submit enqueues a request and returns the new job's ID. The
 // submitted event is journaled (and fsynced) before the ID is handed
-// back, so an acknowledged submission survives a crash.
-func (s *scheduler) submit(req SubmitRequest, now time.Time) (string, error) {
-	return s.submitTraced(req, now, "")
-}
-
-// submitTraced is submit carrying the originating request ID into the
-// journal, so an operator can walk from an access-log line to the
+// back, so an acknowledged submission survives a crash. rid, the
+// originating request ID (empty when there is none), rides into the
+// journal so an operator can walk from an access-log line to the
 // durable record of what it caused.
-func (s *scheduler) submitTraced(req SubmitRequest, now time.Time, rid string) (string, error) {
+func (s *scheduler) submit(req SubmitRequest, now time.Time, rid string) (string, error) {
 	tenant := normalizeTenant(req.Tenant)
 	s.mu.Lock()
 	if s.closed {
@@ -470,7 +451,6 @@ func (s *scheduler) submitTraced(req SubmitRequest, now time.Time, rid string) (
 		state:     StateQueued,
 		submitted: now,
 		queuedAt:  now,
-		cancel:    make(chan struct{}),
 	}
 	if s.record != nil {
 		if err := s.record(journalEvent{Kind: evSubmitted, Job: j.id, Time: now, Req: &j.req, RID: rid, Tenant: tenant, Priority: req.Priority}); err != nil {
@@ -488,10 +468,7 @@ func (s *scheduler) submitTraced(req SubmitRequest, now time.Time, rid string) (
 	s.met.tenantAdmissions.With(tenant).Inc()
 	s.publishLocked(j, evTypeState, now)
 	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.poke()
 	return j.id, nil
 }
 
@@ -500,8 +477,11 @@ func (s *scheduler) submitTraced(req SubmitRequest, now time.Time, rid string) (
 // their original IDs. Jobs that were leased to a remote worker at
 // crash time come back leased with a fresh grace TTL — a surviving
 // worker re-attaches via its next heartbeat or complete, and a dead
-// one's lease expires into a requeue. nextID advances past the highest
-// replayed job number so new submissions never collide.
+// one's lease expires into a requeue. A lease held by one of the
+// coordinator's own slots died with the process that held it, so that
+// job goes straight back to the queue: in memory only, so replaying the
+// same journal again gives the same result. nextID advances past the
+// highest replayed job number so new submissions never collide.
 func (s *scheduler) restore(jobs []*job, maxID int) {
 	requeued := 0
 	now := time.Now()
@@ -514,6 +494,9 @@ func (s *scheduler) restore(jobs []*job, maxID int) {
 			// Pre-tenancy journal events replay without a tenant; they
 			// belong to the default tenant, same as legacy live submits.
 			j.tenant = normalizeTenant(j.req.Tenant)
+		}
+		if j.state == StateLeased && isLocalWorker(j.leaseWorker) {
+			j.unleaseLocked()
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
@@ -540,46 +523,20 @@ func (s *scheduler) restore(jobs []*job, maxID int) {
 		s.nextID = maxID
 	}
 	s.mu.Unlock()
-	for i := 0; i < requeued; i++ {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
+	if requeued > 0 {
+		s.poke()
 	}
 }
 
-// worker drains the pending queue until the scheduler shuts down.
-func (s *scheduler) worker() {
-	defer s.wg.Done()
-	for {
-		j := s.pop()
-		if j == nil {
-			select {
-			case <-s.wake:
-				continue
-			case <-s.quit:
-				return
-			}
-		}
-		if s.record != nil {
-			j.mu.Lock()
-			started := j.started
-			j.mu.Unlock()
-			_ = s.record(journalEvent{Kind: evStarted, Job: j.id, Time: started})
-		}
-		s.execute(j)
-	}
-}
-
-// dequeueLocked is the deficit-round-robin arbiter both execution
-// paths (in-process pop, remote lease) pull through; callers hold
-// s.mu. Each tenant is visited in ring order; an eligible tenant with
-// no credit is granted its weight in job-slots and serves its queue
-// head, one job per call, until the credit runs out — so over
-// contended slots tenants are served proportionally to their weights,
-// and a tenant at its running-concurrency cap (or with an empty queue)
-// is skipped with its credit reset, never banking bandwidth it could
-// not use. Returns nil when no tenant can hand out work.
+// dequeueLocked is the deficit-round-robin arbiter every lease pulls
+// through; callers hold s.mu. Each tenant is visited in ring order; an
+// eligible tenant with no credit is granted its weight in job-slots and
+// serves its queue head, one job per call, until the credit runs out —
+// so over contended slots tenants are served proportionally to their
+// weights, and a tenant at its running-concurrency cap (or with an
+// empty queue) is skipped with its credit reset, never banking
+// bandwidth it could not use. Returns nil when no tenant can hand out
+// work.
 func (s *scheduler) dequeueLocked() *job {
 	n := len(s.ring)
 	for scanned := 0; scanned < n; scanned++ {
@@ -607,99 +564,14 @@ func (s *scheduler) dequeueLocked() *job {
 	return nil
 }
 
-// pop dequeues the next runnable job via the DRR arbiter, skipping
-// jobs canceled while queued (a rare race — cancels eagerly leave the
-// queue, but may overlap a concurrent dequeue). Returns nil when no
-// tenant has runnable work or a drain is under way (a draining
-// scheduler stops popping so queued work stays journaled as pending
-// and resumes after restart).
-func (s *scheduler) pop() *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.draining {
-		j := s.dequeueLocked()
-		if j == nil {
-			return nil
-		}
-		j.mu.Lock()
-		runnable := j.state == StateQueued
-		if runnable {
-			s.countMove(StateQueued, StateRunning)
-			j.state = StateRunning
-			j.started = time.Now()
-			s.publishLocked(j, evTypeState, j.started)
-		}
-		j.mu.Unlock()
-		if runnable {
-			s.tenants[j.tenant].inflight++
-			return j
-		}
-	}
-	return nil
-}
-
-// execute runs one job, records its terminal state and journals it —
-// unless a drain interrupted the job, in which case the journal keeps
-// showing it in flight so a reopened service reruns it.
-func (s *scheduler) execute(j *job) {
-	s.run(j)
-	j.mu.Lock()
-	if !j.state.Terminal() {
-		j.state = StateDone //impeccable:unjournaled execute journals after the run so drain interruptions rerun instead of acking
-	}
-	// The run function sets the terminal state directly; diff the
-	// counters here so they track whatever it chose.
-	s.countMove(StateRunning, j.state)
-	j.finished = time.Now()
-	var dur time.Duration
-	if !j.started.IsZero() && j.state != StateCanceled {
-		dur = j.finished.Sub(j.started)
-	}
-	ev := journalEvent{Job: j.id, Time: j.finished}
-	switch j.state {
-	case StateDone:
-		ev.Kind = evDone
-		if j.result != nil {
-			sum := j.result.summary
-			ev.Summary = &sum
-		}
-	case StateFailed:
-		ev.Kind = evFailed
-		ev.Error = j.err
-	case StateCanceled:
-		ev.Kind = evCanceled
-	}
-	// Suppress journaling only when the drain actually interrupted the
-	// job: one that raced to normal completion still records its
-	// result, and one the user explicitly canceled records the cancel
-	// (user intent survives restarts; drain interruptions resume).
-	suppress := j.drainCanceled && !j.userCanceled && j.state == StateCanceled
-	s.markTerminal(j.state)
-	s.publishLocked(j, evTypeState, j.finished)
-	j.mu.Unlock()
-	s.mu.Lock()
-	if tq := s.tenants[j.tenant]; tq != nil {
-		tq.inflight--
-	}
-	s.mu.Unlock()
-	if dur > 0 {
-		s.recordDuration(dur)
-	}
-	if !suppress && s.record != nil {
-		_ = s.record(ev)
-	}
-	if !suppress && s.onTerminal != nil {
-		s.onTerminal()
-	}
-	s.pruneTerminal()
-}
-
-// lease hands the next runnable job to a remote worker under a TTL
-// lease, journaling the handoff before the grant is acknowledged. A
-// nil job means no work is available (empty queue, drain, or
-// shutdown). A worker-requested ttl of 0 takes the scheduler default;
-// explicit values are clamped to [minLeaseTTL, maxLeaseTTL], with the
-// lower clamp relaxed to the configured default when that is smaller.
+// lease hands the next runnable job to a worker under a TTL lease,
+// journaling the handoff before the grant is acknowledged. Jobs
+// canceled while queued are skipped (a rare race — cancels eagerly
+// leave the queue, but may overlap a concurrent dequeue). A nil job
+// means no work is available (empty queue, drain, or shutdown). A
+// worker-requested ttl of 0 takes the scheduler default; explicit
+// values are clamped to [minLeaseTTL, maxLeaseTTL], with the lower
+// clamp relaxed to the configured default when that is smaller.
 func (s *scheduler) lease(workerID string, ttl time.Duration, now time.Time) (*job, error) {
 	if workerID == "" {
 		return nil, fmt.Errorf("service: lease requires a worker id")
@@ -757,11 +629,7 @@ func (s *scheduler) lease(workerID string, ttl time.Duration, now time.Time) (*j
 			// it was.
 			leased.mu.Lock()
 			s.countMove(StateLeased, StateQueued)
-			leased.state = StateQueued
-			leased.leaseWorker = ""
-			leased.leaseToken = ""
-			leased.started = time.Time{}
-			leased.lastBeat = time.Time{}
+			leased.unleaseLocked()
 			leased.queuedAt = now
 			leased.mu.Unlock()
 			delete(s.leases, leased.id)
@@ -792,8 +660,8 @@ func newLeaseToken() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// heartbeat extends a worker's lease and records the remotely observed
-// stage/progress. ErrLeaseLost tells the worker to abandon the run.
+// heartbeat extends a worker's lease and records the stage/progress
+// it observed. ErrLeaseLost tells the worker to abandon the run.
 func (s *scheduler) heartbeat(workerID, token, jobID, stage string, progress float64, now time.Time) (time.Time, error) {
 	j, ok := s.get(jobID)
 	if !ok {
@@ -817,11 +685,10 @@ func (s *scheduler) heartbeat(workerID, token, jobID, stage string, progress flo
 	return j.leaseExpiry, nil
 }
 
-// completeRemote finalizes a leased job with the outcome a remote
-// worker posted back, journaling the terminal event. A worker whose
-// lease was lost in the meantime gets ErrLeaseLost and must discard
-// the result — the job is owned by the queue (or another worker)
-// again.
+// completeRemote finalizes a leased job with the outcome its worker
+// reported, journaling the terminal event. A worker whose lease was
+// lost in the meantime gets ErrLeaseLost and must discard the result —
+// the job is owned by the queue (or another worker) again.
 func (s *scheduler) completeRemote(workerID, token, jobID string, state JobState, errMsg string, sum *ResultSummary, now time.Time) error {
 	if !state.Terminal() {
 		return fmt.Errorf("service: complete with non-terminal state %q", state)
@@ -898,10 +765,8 @@ func (s *scheduler) completeRemote(workerID, token, jobID string, state JobState
 	if dur > 0 {
 		s.recordDuration(dur)
 	}
-	// No onTerminal here: Service.Complete checkpoints AFTER merging
-	// the worker's cache deltas — a checkpoint now would both exclude
-	// this job's own docking labels and double the full-cache fsync.
 	s.pruneTerminal()
+	s.poke() // a tenant below its MaxRunning cap again may have work
 	return nil
 }
 
@@ -947,13 +812,7 @@ func (s *scheduler) expireLeases(now time.Time) {
 		j.mu.Lock()
 		if j.state == StateLeased && now.After(j.leaseExpiry) {
 			s.countMove(StateLeased, StateQueued)
-			j.state = StateQueued
-			j.leaseWorker = ""
-			j.leaseToken = ""
-			j.started = time.Time{}
-			j.lastBeat = time.Time{}
-			j.stage = ""
-			j.progress = 0
+			j.unleaseLocked()
 			expired = append(expired, j)
 			s.publishLocked(j, evTypeState, now)
 		}
@@ -992,11 +851,8 @@ func (s *scheduler) expireLeases(now time.Time) {
 	s.met.leaseExpiries.Add(float64(len(expired)))
 	s.met.leaseRequeues.Add(float64(len(expired)))
 	s.mu.Unlock()
-	for range expired {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
+	if len(expired) > 0 {
+		s.poke()
 	}
 }
 
@@ -1009,8 +865,8 @@ func (s *scheduler) expireLeases(now time.Time) {
 // evicted worker's next heartbeat comes back ErrLeaseLost, the requeue
 // is journaled, Seed and LibOffset ride along in the retained
 // request), so the eventual rerun is byte-identical to an
-// uninterrupted run. Only leased jobs are preemptible: an in-process
-// campaign cannot be revoked mid-run without losing its slot's work.
+// uninterrupted run. Every running job holds a lease, so every running
+// job is preemptible — on a local slot or a remote worker alike.
 func (s *scheduler) maybePreempt(now time.Time) {
 	if s.preemptAfter <= 0 {
 		return
@@ -1020,7 +876,7 @@ func (s *scheduler) maybePreempt(now time.Time) {
 		s.mu.Unlock()
 		return
 	}
-	slots := s.workerSlots + len(s.leases)
+	slots := len(s.leases)
 	// Fair shares are computed over tenants with demand (pending or
 	// in-flight work); idle tenants do not dilute anyone's share.
 	totalW := 0
@@ -1112,13 +968,7 @@ func (s *scheduler) maybePreempt(now time.Time) {
 		return
 	}
 	s.countMove(StateLeased, StateQueued)
-	prey.state = StateQueued
-	prey.leaseWorker = ""
-	prey.leaseToken = ""
-	prey.started = time.Time{}
-	prey.lastBeat = time.Time{}
-	prey.stage = ""
-	prey.progress = 0
+	prey.unleaseLocked()
 	s.publishLocked(prey, evTypeState, now)
 	prey.mu.Unlock()
 	prey.queuedAt = now
@@ -1138,10 +988,7 @@ func (s *scheduler) maybePreempt(now time.Time) {
 		_ = s.record(journalEvent{Kind: evRequeued, Job: prey.id, Time: now})
 	}
 	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.poke()
 }
 
 // recordDuration feeds one finished run into the Retry-After window.
@@ -1160,9 +1007,9 @@ func (s *scheduler) recordDuration(d time.Duration) {
 
 // retryAfterSeconds derives the global 429 Retry-After hint from the
 // current backlog: total queue depth × recent mean job duration,
-// spread over the available execution slots (in-process workers plus
-// active remote leases), clamped to [1s, 60s]. With no finished runs
-// yet the mean defaults to 5s.
+// spread over the execution slots in use (active leases, local and
+// remote), clamped to [1s, 60s]. With no finished runs yet the mean
+// defaults to 5s.
 func (s *scheduler) retryAfterSeconds() int {
 	return s.retryAfterSecondsFor("")
 }
@@ -1175,7 +1022,7 @@ func (s *scheduler) retryAfterSeconds() int {
 func (s *scheduler) retryAfterSecondsFor(tenant string) int {
 	s.mu.Lock()
 	depth := s.pendingN
-	slotShare := float64(s.workerSlots + len(s.leases))
+	slotShare := float64(len(s.leases))
 	if tenant != "" {
 		tq := s.tenants[tenant]
 		if tq == nil {
@@ -1226,15 +1073,10 @@ func (s *scheduler) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// cancelJob cancels a queued or running job. Canceling a terminal job is
-// a no-op; unknown IDs return false.
-func (s *scheduler) cancelJob(id string) (JobSnapshot, error) {
-	return s.cancelJobTraced(id, "")
-}
-
-// cancelJobTraced is cancelJob carrying the originating request ID
-// into the journal.
-func (s *scheduler) cancelJobTraced(id, rid string) (JobSnapshot, error) {
+// cancelJob cancels a queued or leased job, journaling rid (the
+// originating request ID, or empty) with the cancel. Canceling a
+// terminal job is a no-op; unknown IDs return ErrUnknownJob.
+func (s *scheduler) cancelJob(id, rid string) (JobSnapshot, error) {
 	// After shutdown the journal is closed: a cancel acknowledged now
 	// could not be recorded, and the restarted coordinator would revive
 	// the job — an acked-then-lost cancel. Refuse instead (HTTP 503);
@@ -1250,22 +1092,19 @@ func (s *scheduler) cancelJobTraced(id, rid string) (JobSnapshot, error) {
 	if !ok {
 		return JobSnapshot{}, ErrUnknownJob
 	}
-	terminal := false
 	unqueue := false
 	unlease := false
 	j.mu.Lock()
-	switch j.state {
-	case StateQueued, StateLeased:
-		// Queued: never started, mark terminal immediately; pop() will
-		// skip it. Leased: the remote worker cannot be signaled
-		// directly — mark terminal now and let its next heartbeat or
-		// complete come back ErrLeaseLost, at which point it abandons
-		// the run. Either way, journal BEFORE applying, still under
-		// j.mu: the 200 this acks promises the cancel survives a
-		// restart, so a failed append (journal closed by a racing
-		// Shutdown) must refuse the cancel rather than ack it and let
-		// the restarted coordinator revive the job.
-		from := j.state
+	if from := j.state; !from.Terminal() {
+		// Queued: never started, mark terminal immediately; lease will
+		// skip it. Leased: the worker, local slot or remote, is not
+		// signaled directly — mark terminal now and let its next
+		// heartbeat or complete come back ErrLeaseLost, at which point
+		// it abandons the run. Either way, journal BEFORE applying,
+		// still under j.mu: the 200 this acks promises the cancel
+		// survives a restart, so a failed append (journal closed by a
+		// racing Shutdown) must refuse the cancel rather than ack it and
+		// let the restarted coordinator revive the job.
 		now := time.Now()
 		if s.record != nil {
 			if err := s.record(journalEvent{Kind: evCanceled, Job: j.id, Time: now, RID: rid}); err != nil {
@@ -1277,25 +1116,16 @@ func (s *scheduler) cancelJobTraced(id, rid string) (JobSnapshot, error) {
 		j.state = StateCanceled
 		j.leaseToken = ""
 		j.finished = now
-		j.userCanceled = true
-		terminal = true
 		unqueue = from == StateQueued
 		unlease = from == StateLeased
 		s.markTerminal(StateCanceled)
 		s.publishLocked(j, evTypeState, now)
-	case StateRunning:
-		// The campaign observes the closed channel between stages and
-		// returns ErrCanceled; execute journals the terminal state (the
-		// drain barrier waits for worker goroutines, so that append
-		// cannot race the journal's close).
-		j.userCanceled = true
 	}
 	// Snapshot under the same lock: a caller re-reading through the job
 	// table could race a concurrent completion's prune and find nothing
 	// — or worse, fabricate a state the journal contradicts.
 	snap := j.snapshotLocked()
 	j.mu.Unlock()
-	j.requestCancel()
 	if unlease {
 		s.mu.Lock()
 		delete(s.leases, j.id)
@@ -1303,11 +1133,12 @@ func (s *scheduler) cancelJobTraced(id, rid string) (JobSnapshot, error) {
 			tq.inflight--
 		}
 		s.mu.Unlock()
+		s.poke()
 	}
 	if unqueue {
 		// Drop the tombstone from its tenant's pending queue eagerly so
 		// it stops holding a MaxQueued slot and stops inflating the
-		// queue-depth gauge and the derived Retry-After (pop would only
+		// queue-depth gauge and the derived Retry-After (lease would only
 		// skip it once a worker frees up, spuriously 429ing the tenant's
 		// new submissions until then).
 		s.mu.Lock()
@@ -1316,9 +1147,9 @@ func (s *scheduler) cancelJobTraced(id, rid string) (JobSnapshot, error) {
 		}
 		s.mu.Unlock()
 	}
-	if terminal {
-		// The cancel was terminal (queued or leased): enforce the
-		// record bound now rather than at the next completion.
+	if unqueue || unlease {
+		// The cancel was terminal: enforce the record bound now rather
+		// than at the next completion.
 		s.pruneTerminal()
 	}
 	return snap, nil
@@ -1327,7 +1158,7 @@ func (s *scheduler) cancelJobTraced(id, rid string) (JobSnapshot, error) {
 // pruneTerminal drops the oldest terminal job records beyond
 // maxRecords from the job table, the order slice and therefore every
 // listing — the fix for the unbounded growth of completed-job state in
-// a long-lived service. Queued and running jobs are never pruned. With
+// a long-lived service. Queued and leased jobs are never pruned. With
 // a journal configured, pruned history remains on disk.
 func (s *scheduler) pruneTerminal() {
 	if s.maxRecords <= 0 {
@@ -1380,17 +1211,6 @@ func (s *scheduler) retainedIDs() map[string]struct{} {
 	out := make(map[string]struct{}, len(s.jobs))
 	for id := range s.jobs {
 		out[id] = struct{}{}
-	}
-	return out
-}
-
-// jobsInOrder returns every job in submission order.
-func (s *scheduler) jobsInOrder() []*job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
 	}
 	return out
 }
@@ -1481,11 +1301,15 @@ func (s *scheduler) isDraining() bool {
 }
 
 // shutdown gracefully drains the scheduler: stop accepting
-// submissions, stop popping the pending queue, cancel running jobs and
-// wait for the workers. Jobs interrupted here are marked canceled
-// in memory but deliberately NOT journaled as terminal — from the
-// journal's point of view they are still in flight, so a service
-// reopened on the same state dir re-enqueues them.
+// submissions, stop leasing the pending queue and stop the watchdog.
+// Queued jobs are marked canceled in memory but deliberately NOT
+// journaled as terminal — from the journal's point of view they are
+// still pending, so a service reopened on the same state dir
+// re-enqueues them. Leases survive the drain untouched: the journal
+// still shows those jobs leased, so a reopened coordinator re-adopts a
+// remote lease (and expires it if the worker is gone) and requeues a
+// local slot's at once. A holder's complete bounces off the closed
+// scheduler and the rerun stays deterministic.
 func (s *scheduler) shutdown() {
 	s.mu.Lock()
 	if s.closed {
@@ -1502,29 +1326,16 @@ func (s *scheduler) shutdown() {
 	s.mu.Unlock()
 	for _, j := range jobs {
 		j.mu.Lock()
-		switch j.state {
-		case StateQueued:
+		if j.state == StateQueued {
 			s.countMove(StateQueued, StateCanceled)
-			j.state = StateCanceled //impeccable:unjournaled drain keeps interrupted jobs in-flight in the journal for rerun
+			j.state = StateCanceled //impeccable:unjournaled drain keeps queued jobs pending in the journal for rerun
 			j.finished = time.Now()
-			j.drainCanceled = true
-		case StateRunning:
-			j.drainCanceled = true
-		case StateLeased:
-			// Remote leases survive the drain untouched: the journal
-			// still shows the job leased, so a reopened coordinator
-			// re-adopts the lease (and expires it if the worker is
-			// gone). The worker's complete will bounce off the closed
-			// scheduler and the rerun stays deterministic.
-			j.mu.Unlock()
-			continue
 		}
 		j.mu.Unlock()
-		j.requestCancel()
 	}
 	close(s.quit)
 	s.wg.Wait()
-	// Wake every SSE subscriber after the workers have quiesced: their
+	// Wake every SSE subscriber once the watchdog has quiesced: their
 	// handlers return, so the HTTP server's graceful drain is never held
 	// open by an idle event stream.
 	s.bus.shutdown()

@@ -2,7 +2,6 @@ package service
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -21,116 +20,69 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestSchedulerQueueBound exercises MaxQueued at the scheduler level
-// with a blocking run function — no campaigns, so it runs in -short.
-func TestSchedulerQueueBound(t *testing.T) {
-	s := newScheduler(schedConfig{workers: 1, maxQueued: 1}, func(j *job) {
-		<-j.cancel
-		j.mu.Lock()
-		j.state = StateCanceled
-		j.mu.Unlock()
-	})
-	id1, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
-	if err != nil {
+// runNext leases the next job as worker w and completes it done — one
+// whole run through the lease path, with no campaign behind it.
+func runNext(t *testing.T, s *scheduler, w string) string {
+	t.Helper()
+	j, err := s.lease(w, 0, time.Now())
+	if err != nil || j == nil {
+		t.Fatalf("lease = %v, %v", j, err)
+	}
+	if err := s.completeRemote(w, tokenOf(t, s, j.id), j.id, StateDone, "", &ResultSummary{}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the only worker picked job 1 up, so the queue is empty.
-	waitFor(t, "job 1 to start", func() bool {
-		j, _ := s.get(id1)
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		return j.state == StateRunning
-	})
-	if _, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now()); err != nil {
+	return j.id
+}
+
+// TestSchedulerQueueBound exercises MaxQueued at the scheduler level:
+// a leased job no longer holds a pending slot.
+func TestSchedulerQueueBound(t *testing.T) {
+	s := remoteScheduler(time.Hour, nil)
+	s.maxQueued = 1
+	defer s.shutdown()
+	if _, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), ""); err != nil {
+		t.Fatal(err)
+	}
+	// Lease job 1 out, so the queue is empty.
+	if j, err := s.lease("w1", 0, time.Now()); err != nil || j == nil {
+		t.Fatalf("lease = %v, %v", j, err)
+	}
+	if _, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), ""); err != nil {
 		t.Fatalf("submit into empty queue: %v", err)
 	}
 	// Queue now holds 1 pending job = MaxQueued: the next must bounce.
-	_, err = s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
+	_, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit error = %v, want ErrQueueFull", err)
 	}
-	s.shutdown()
 }
 
 // TestCancelFreesQueueSlot: canceling a queued job must release its
 // MaxQueued slot immediately, not when a worker eventually skips the
 // tombstone.
 func TestCancelFreesQueueSlot(t *testing.T) {
-	s := newScheduler(schedConfig{workers: 1, maxQueued: 1}, func(j *job) {
-		<-j.cancel
-		j.mu.Lock()
-		j.state = StateCanceled
-		j.mu.Unlock()
-	})
-	idRun, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
-	waitFor(t, "blocker to start", func() bool {
-		j, _ := s.get(idRun)
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		return j.state == StateRunning
-	})
-	idQ, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
+	s := remoteScheduler(time.Hour, nil)
+	s.maxQueued = 1
+	defer s.shutdown()
+	if _, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), ""); err != nil {
+		t.Fatal(err)
+	}
+	if j, err := s.lease("w1", 0, time.Now()); err != nil || j == nil {
+		t.Fatalf("lease = %v, %v", j, err)
+	}
+	idQ, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now()); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), ""); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("pre-cancel overflow error = %v, want ErrQueueFull", err)
 	}
-	if _, err := s.cancelJob(idQ); err != nil {
-		t.Fatal("cancel returned false")
+	if _, err := s.cancelJob(idQ, ""); err != nil {
+		t.Fatal(err)
 	}
-	// The worker is still blocked, but the slot must already be free.
-	if _, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now()); err != nil {
+	// The leased job still runs, but the slot must already be free.
+	if _, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), ""); err != nil {
 		t.Fatalf("submit after canceling the queued job: %v", err)
-	}
-	s.shutdown()
-}
-
-// TestUserCancelSurvivesDrain: a user cancel of a running job that
-// overlaps a drain must still journal the terminal cancel — the drain
-// suppression applies only to jobs interrupted without user intent.
-func TestUserCancelSurvivesDrain(t *testing.T) {
-	var mu sync.Mutex
-	var recorded []journalEvent
-	record := func(ev journalEvent) error {
-		mu.Lock()
-		recorded = append(recorded, ev)
-		mu.Unlock()
-		return nil
-	}
-	release := make(chan struct{})
-	s := newScheduler(schedConfig{workers: 1, record: record}, func(j *job) {
-		<-j.cancel
-		<-release // hold the worker so the drain overlaps the cancel
-		j.mu.Lock()
-		j.state = StateCanceled
-		j.mu.Unlock()
-	})
-	id, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
-	waitFor(t, "job to start", func() bool {
-		j, _ := s.get(id)
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		return j.state == StateRunning
-	})
-	if _, err := s.cancelJob(id); err != nil {
-		t.Fatal("cancel returned false")
-	}
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		close(release)
-	}()
-	s.shutdown() // drain overlaps the in-flight user cancel
-	mu.Lock()
-	defer mu.Unlock()
-	var last journalEvent
-	for _, ev := range recorded {
-		if ev.Job == id {
-			last = ev
-		}
-	}
-	if last.Kind != evCanceled {
-		t.Fatalf("last journaled event = %+v, want the user's cancel", last)
 	}
 }
 
@@ -138,29 +90,25 @@ func TestUserCancelSurvivesDrain(t *testing.T) {
 // beyond the bound disappear from the table, the order and listings,
 // oldest first; live jobs are never pruned.
 func TestSchedulerPruneTerminal(t *testing.T) {
-	s := newScheduler(schedConfig{workers: 1, maxRecords: 2}, func(j *job) {})
+	s := remoteScheduler(time.Hour, nil)
+	s.maxRecords = 2
+	defer s.shutdown()
 	var ids []string
 	for i := 0; i < 5; i++ {
-		id, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
+		id, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
-	waitFor(t, "all jobs to finish and prune", func() bool {
-		list := s.list()
-		if len(list) != 2 {
-			return false
-		}
-		for _, snap := range list {
-			if snap.State != StateDone {
-				return false
-			}
-		}
-		return true
-	})
-	// The survivors are the two newest.
+	for range ids {
+		runNext(t, s, "w1")
+	}
 	list := s.list()
+	if len(list) != 2 || list[0].State != StateDone || list[1].State != StateDone {
+		t.Fatalf("after five runs: %+v", list)
+	}
+	// The survivors are the two newest.
 	if list[0].ID != ids[3] || list[1].ID != ids[4] {
 		t.Fatalf("survivors = %s,%s want %s,%s", list[0].ID, list[1].ID, ids[3], ids[4])
 	}
@@ -170,62 +118,46 @@ func TestSchedulerPruneTerminal(t *testing.T) {
 		}
 	}
 	// New submissions still work and IDs keep advancing past pruned ones.
-	id6, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
+	id6, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id6 != "job-000006" {
 		t.Fatalf("next ID = %s, want job-000006", id6)
 	}
-	s.shutdown()
 }
 
-// TestSchedulerPruneSparesLiveJobs: a running job older than every
+// TestSchedulerPruneSparesLiveJobs: a leased job older than every
 // terminal record must survive pruning.
 func TestSchedulerPruneSparesLiveJobs(t *testing.T) {
-	block := make(chan struct{})
-	s := newScheduler(schedConfig{workers: 2, maxRecords: 1}, func(j *job) {
-		j.mu.Lock()
-		first := j.id == "job-000001"
-		j.mu.Unlock()
-		if first {
-			<-block
-		}
-	})
-	idRun, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
-	waitFor(t, "blocker to start", func() bool {
-		j, _ := s.get(idRun)
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		return j.state == StateRunning
-	})
-	// These run on the second worker and go terminal while the older
-	// blocker is still running; pruning must only touch the terminals.
+	s := remoteScheduler(time.Hour, nil)
+	s.maxRecords = 1
+	defer s.shutdown()
+	idRun, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
+	if j, err := s.lease("w-slow", 0, time.Now()); err != nil || j == nil || j.id != idRun {
+		t.Fatalf("lease = %v, %v", j, err)
+	}
+	// These run on a second worker and go terminal while the older
+	// blocker is still leased; pruning must only touch the terminals.
 	var done []string
 	for i := 0; i < 3; i++ {
-		id, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
+		id, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
 		done = append(done, id)
+		runNext(t, s, "w-fast")
 	}
-	waitFor(t, "quick jobs to finish and prune", func() bool {
-		return len(s.list()) == 2 // running blocker + 1 retained terminal
-	})
-	j, ok := s.get(idRun)
-	if !ok {
-		t.Fatal("old running job was pruned")
+	if n := len(s.list()); n != 2 { // leased blocker + 1 retained terminal
+		t.Fatalf("listing holds %d jobs, want 2", n)
 	}
-	j.mu.Lock()
-	st := j.state
-	j.mu.Unlock()
-	if st != StateRunning {
-		t.Fatalf("old running job state = %s, want running", st)
+	if st := stateOf(t, s, idRun); st != StateLeased {
+		t.Fatalf("old leased job state = %s, want leased", st)
 	}
 	if _, ok := s.get(done[2]); !ok {
 		t.Fatalf("newest terminal job %s missing", done[2])
 	}
-	close(block)
-	waitFor(t, "blocker to finish and prune", func() bool {
-		list := s.list()
-		return len(list) == 1 && list[0].ID == done[2]
-	})
-	s.shutdown()
+	if err := s.completeRemote("w-slow", tokenOf(t, s, idRun), idRun, StateDone, "", &ResultSummary{}, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if list := s.list(); len(list) != 1 || list[0].ID != done[2] {
+		t.Fatalf("after the blocker finished: %+v", list)
+	}
 }

@@ -19,8 +19,10 @@ import (
 
 // Options configures a Service.
 type Options struct {
-	// Workers bounds how many campaigns run concurrently; 0 means half
-	// of GOMAXPROCS (each campaign parallelizes internally too).
+	// Workers is how many campaigns run concurrently in-process; 0
+	// means half of GOMAXPROCS (each campaign parallelizes internally
+	// too). Each is a local slot that leases jobs exactly like a remote
+	// worker, under the reserved worker ID "local/N".
 	Workers int
 	// CampaignWorkers bounds the intra-campaign worker pools (docking,
 	// screening, ESMACS); 0 means GOMAXPROCS.
@@ -30,10 +32,6 @@ type Options struct {
 	CacheShards int
 	// MaxCacheEntries soft-bounds the score cache; 0 means unbounded.
 	MaxCacheEntries int
-	// MaxRetainedResults bounds how many completed jobs keep their full
-	// in-memory campaign result (trajectories included); older jobs
-	// retain only the small summary. 0 means 64; negative = unbounded.
-	MaxRetainedResults int
 	// Targets are the receptors the service accepts campaigns against;
 	// nil means receptor.StandardTargets().
 	Targets []*receptor.Target
@@ -49,8 +47,8 @@ type Options struct {
 	// and the score/feature caches are periodically checkpointed via
 	// the <StateDir>/caches.snap manifest. Open replays the journal:
 	// terminal jobs are served from their persisted summaries, and jobs
-	// that were queued or running at crash time are re-enqueued under
-	// their original IDs (Seed and LibOffset preserved, so reruns are
+	// that were queued or leased by a local slot at crash time are
+	// re-enqueued under their original IDs (Seed and LibOffset preserved, so reruns are
 	// deterministic and warm-cache-identical). Empty = in-memory only.
 	StateDir string
 	// SnapshotEvery is the cadence of the periodic cache checkpoint
@@ -74,7 +72,7 @@ type Options struct {
 	CompactEvery time.Duration
 	// MaxJobRecords bounds how many terminal jobs stay in the
 	// in-memory job table (and so in listings); the oldest terminal
-	// records are pruned first, queued/running jobs never. 0 means
+	// records are pruned first, queued/leased jobs never. 0 means
 	// unbounded — with StateDir set the journal keeps full history
 	// regardless of pruning.
 	MaxJobRecords int
@@ -102,13 +100,13 @@ type Options struct {
 	// tenant (the job requeues and reruns byte-identically, like a
 	// lease expiry). 0 disables preemption.
 	PreemptAfter time.Duration
-	// RemoteOnly starts the service with zero in-process workers: the
-	// coordinator only queues, leases and records jobs, and every
-	// campaign executes on remote workers (cmd/impeccable-worker)
-	// pulling work through the lease API.
+	// RemoteOnly starts the service with zero local slots, whatever
+	// Workers says: the coordinator only queues, leases and records
+	// jobs, and every campaign executes on remote workers
+	// (cmd/impeccable-worker) pulling work through the lease API.
 	RemoteOnly bool
-	// LeaseTTL is the default remote-worker lease duration: a worker
-	// that stops heartbeating for this long loses its job, which
+	// LeaseTTL is the default lease duration: a worker (local slot or
+	// remote) that stops heartbeating for this long loses its job, which
 	// re-enters the queue under its original ID (Seed and LibOffset
 	// preserved, so the rerun is byte-identical). Workers may request a
 	// different TTL per lease, clamped to [1s, 5m]. 0 means 30s.
@@ -120,21 +118,25 @@ type Options struct {
 }
 
 // Service is a long-lived, multi-tenant campaign evaluation service:
-// submitted campaigns queue onto a bounded worker pool and share a
-// sharded docking-score cache and feature cache, so overlapping
-// submissions dedupe their most expensive evaluations.
+// submitted campaigns queue up and are leased to workers — local slots
+// in this process and remote workers alike — which share a sharded
+// docking-score cache and feature cache, so overlapping submissions
+// dedupe their most expensive evaluations.
 type Service struct {
-	scores     *ScoreCache
-	features   *FeatureCache
-	targets    map[string]*receptor.Target
-	sched      *scheduler
-	workers    int  // per-campaign worker width
-	maxResults int  // full campaign results retained; <0 = unbounded
-	streaming  bool // route all jobs through the streaming funnel
-	started    time.Time
-	met        *metrics
-	logf       func(format string, args ...any)
-	limiter    *tenantLimiter // per-tenant submit token buckets
+	scores    *ScoreCache
+	features  *FeatureCache
+	targets   map[string]*receptor.Target
+	sched     *scheduler
+	workers   int  // per-campaign worker width
+	streaming bool // route all jobs through the streaming funnel
+	started   time.Time
+	met       *metrics
+	logf      func(format string, args ...any)
+	limiter   *tenantLimiter // per-tenant submit token buckets
+
+	// Local slots: goroutines leasing jobs as "local/N".
+	slotStop context.CancelFunc
+	slotWG   sync.WaitGroup
 
 	// Persistence (zero-valued when Options.StateDir is empty).
 	stateDir string
@@ -176,10 +178,8 @@ type SubmitRequest struct {
 	Streaming bool `json:"streaming,omitempty"`
 }
 
-// jobResult pairs the campaign result with the serializable summary.
-// full may be released by retention trimming; summary is kept forever.
+// jobResult holds a done job's summary.
 type jobResult struct {
-	full    *campaign.Result
 	summary ResultSummary
 }
 
@@ -208,12 +208,12 @@ func NewService(opts Options) *Service {
 // interrupted jobs re-enter the queue under their original IDs), and
 // only then does the service accept new submissions.
 func Open(opts Options) (*Service, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) / 2
-		if workers < 1 {
-			workers = 1
-		}
+	slots := opts.Workers
+	if slots <= 0 {
+		slots = max(runtime.GOMAXPROCS(0)/2, 1)
+	}
+	if opts.RemoteOnly {
+		slots = 0
 	}
 	shards := opts.CacheShards
 	if shards <= 0 {
@@ -223,22 +223,17 @@ func Open(opts Options) (*Service, error) {
 	if targets == nil {
 		targets = receptor.StandardTargets()
 	}
-	maxResults := opts.MaxRetainedResults
-	if maxResults == 0 {
-		maxResults = 64
-	}
 	s := &Service{
-		scores:     NewScoreCache(shards, opts.MaxCacheEntries),
-		features:   NewFeatureCache(shards, opts.MaxCacheEntries),
-		targets:    make(map[string]*receptor.Target, len(targets)),
-		workers:    opts.CampaignWorkers,
-		maxResults: maxResults,
-		streaming:  opts.Streaming,
-		started:    time.Now(),
-		met:        newMetrics(),
-		logf:       opts.Logf,
-		stateDir:   opts.StateDir,
-		snapStop:   make(chan struct{}),
+		scores:    NewScoreCache(shards, opts.MaxCacheEntries),
+		features:  NewFeatureCache(shards, opts.MaxCacheEntries),
+		targets:   make(map[string]*receptor.Target, len(targets)),
+		workers:   opts.CampaignWorkers,
+		streaming: opts.Streaming,
+		started:   time.Now(),
+		met:       newMetrics(),
+		logf:      opts.Logf,
+		stateDir:  opts.StateDir,
+		snapStop:  make(chan struct{}),
 	}
 	for _, t := range targets {
 		s.targets[t.Name] = t
@@ -261,8 +256,6 @@ func Open(opts Options) (*Service, error) {
 	}
 	s.limiter = newTenantLimiter(limitsFor)
 	cfg := schedConfig{
-		workers:      workers,
-		remoteOnly:   opts.RemoteOnly,
 		leaseTTL:     opts.LeaseTTL,
 		maxQueued:    opts.MaxQueued,
 		maxRecords:   opts.MaxJobRecords,
@@ -298,13 +291,18 @@ func Open(opts Options) (*Service, error) {
 		s.jl.onRotate = func() { s.met.journalRotations.Inc() }
 		cfg.record = s.jl.append
 		cfg.recordBatch = s.jl.appendBatch
-		cfg.onTerminal = func() { _ = s.Snapshot() }
 	}
-	s.sched = newScheduler(cfg, s.runJob)
+	s.sched = newScheduler(cfg)
 	s.registerCollectors()
 	if len(replayed) > 0 || maxID > 0 {
 		s.sched.restore(replayed, maxID)
 		s.sched.pruneTerminal()
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	s.slotStop = stop
+	for i := 0; i < slots; i++ {
+		s.slotWG.Add(1)
+		go s.runSlot(ctx, fmt.Sprintf("%s%d", LocalWorkerPrefix, i))
 	}
 	if s.stateDir != "" {
 		every := opts.SnapshotEvery
@@ -431,14 +429,14 @@ func (s *Service) SubmitCtx(ctx context.Context, req SubmitRequest) (string, err
 		s.met.tenantRejections.With(tenant, rejectRateLimited).Inc()
 		return "", &RateLimitError{Tenant: tenant, RetryAfter: wait}
 	}
-	return s.sched.submitTraced(req, now, RequestIDFrom(ctx))
+	return s.sched.submit(req, now, RequestIDFrom(ctx))
 }
 
 // BaseConfig translates a submission into the campaign config knobs
-// that determine its scientific output — the part shared by the
-// coordinator's in-process execution and remote workers, so both run
-// byte-identical science. Callers attach caches, worker width,
-// cancellation and progress observers on top.
+// that determine its scientific output — the part shared by local
+// slots and remote workers, so both run byte-identical science.
+// Callers attach caches and worker width on top; RunLeased wires
+// cancellation and progress.
 func BaseConfig(req SubmitRequest, t *receptor.Target) campaign.Config {
 	cfg := campaign.DefaultConfig(t)
 	if req.LibrarySize > 0 {
@@ -464,94 +462,7 @@ func BaseConfig(req SubmitRequest, t *receptor.Target) campaign.Config {
 	return cfg
 }
 
-// configFor translates a submission into a campaign config wired to the
-// shared caches and the job's cancellation channel.
-func (s *Service) configFor(j *job) campaign.Config {
-	t := s.targets[j.req.Target]
-	cfg := BaseConfig(j.req, t)
-	cfg.Streaming = cfg.Streaming || s.streaming
-	cfg.Workers = s.workers
-	cfg.DockCache = s.scores.ForTarget(t.Name)
-	cfg.Features = s.features
-	cfg.Cancel = j.cancel
-	cfg.Progress = func(stage string, frac float64) {
-		j.mu.Lock()
-		// Publish only meaningful movement — a stage change or ≥1% of
-		// progress — so a chatty campaign cannot churn the job's bounded
-		// event ring out of its replay window.
-		notable := stage != j.stage || frac >= j.progress+0.01 || (frac >= 1 && j.progress < 1)
-		j.stage, j.progress = stage, frac
-		if notable {
-			s.sched.publishLocked(j, evTypeProgress, time.Now())
-		}
-		j.mu.Unlock()
-	}
-	return cfg
-}
-
-// runJob executes one job's campaign; invoked by scheduler workers. A
-// panicking campaign fails its job, never the server — every other
-// tenant's jobs keep running.
-func (s *Service) runJob(j *job) {
-	cfg := s.configFor(j)
-	res, err := func() (res *campaign.Result, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("service: campaign panicked: %v", r)
-			}
-		}()
-		return campaign.RunWithPool(cfg, nil, j.req.LibOffset)
-	}()
-	j.mu.Lock()
-	switch {
-	case errors.Is(err, campaign.ErrCanceled):
-		j.state = StateCanceled //impeccable:unjournaled in-process runner journals once after the run settles
-	case err != nil:
-		j.state = StateFailed //impeccable:unjournaled in-process runner journals once after the run settles
-		j.err = err.Error()
-	default:
-		j.progress = 1
-		j.result = &jobResult{
-			full: res,
-			summary: ResultSummary{
-				Funnel:          res.Funnel,
-				Top:             res.Top,
-				ScientificYield: res.ScientificYield,
-			},
-		}
-	}
-	j.mu.Unlock()
-	if err == nil && res != nil {
-		s.met.observeFunnel(j.tenant, res.Funnel.Timings, res.Funnel.WallSeconds)
-	}
-	s.trimResults()
-}
-
-// trimResults releases the full campaign results of the oldest done
-// jobs beyond the retention bound. Summaries (what the HTTP API serves)
-// are kept for every job; only the heavyweight in-memory results go.
-func (s *Service) trimResults() {
-	if s.maxResults < 0 {
-		return
-	}
-	var withFull []*job
-	for _, j := range s.sched.jobsInOrder() {
-		j.mu.Lock()
-		if j.result != nil && j.result.full != nil {
-			withFull = append(withFull, j)
-		}
-		j.mu.Unlock()
-	}
-	for _, j := range withFull[:max(0, len(withFull)-s.maxResults)] {
-		j.mu.Lock()
-		if j.result != nil {
-			j.result.full = nil
-		}
-		j.mu.Unlock()
-	}
-}
-
-// LeaseGrant is what a remote worker receives from Lease: the job, its
+// LeaseGrant is what a worker receives from Lease: the job, its
 // full submission (Seed and LibOffset included, Streaming resolved
 // against the service-wide option) and the lease window. The worker
 // must heartbeat before ExpiresAt or the job is re-enqueued.
@@ -567,8 +478,8 @@ type LeaseGrant struct {
 	Token string `json:"token"`
 }
 
-// Lease hands the next runnable job to the named remote worker under a
-// TTL lease (ttl 0 = the service default, explicit values clamped to
+// Lease hands the next runnable job to the named worker under a TTL
+// lease (ttl 0 = the service default, explicit values clamped to
 // [1s, 5m]). Returns (nil, nil) when no work is available.
 func (s *Service) Lease(workerID string, ttl time.Duration) (*LeaseGrant, error) {
 	j, err := s.sched.lease(workerID, ttl, time.Now())
@@ -591,7 +502,7 @@ func (s *Service) Lease(workerID string, ttl time.Duration) (*LeaseGrant, error)
 }
 
 // Heartbeat extends the named worker's lease on a job and records the
-// remotely observed stage/progress, returning the new expiry. The
+// stage/progress it observed, returning the new expiry. The
 // token must be the one granted with the lease. A heartbeat that comes
 // back ErrLeaseLost tells the worker to abandon the run (the lease
 // expired, or the job was canceled).
@@ -599,9 +510,10 @@ func (s *Service) Heartbeat(workerID, token, jobID, stage string, progress float
 	return s.sched.heartbeat(workerID, token, jobID, stage, progress, time.Now())
 }
 
-// WorkerResult is the outcome a remote worker posts back for a leased
-// job: exactly one of Summary (success), Error (failure) or Canceled,
-// plus the score/feature-cache deltas the run produced.
+// WorkerResult is the outcome a worker reports for a leased job:
+// exactly one of Summary (success), Error (failure) or Canceled, plus
+// the score/feature-cache deltas the run produced (none from a local
+// slot, which writes the shared caches directly).
 type WorkerResult struct {
 	Summary  *ResultSummary `json:"summary,omitempty"`
 	Error    string         `json:"error,omitempty"`
@@ -625,8 +537,8 @@ type WorkerRunStats struct {
 	WallSeconds  float64                `json:"wall_seconds,omitempty"`
 }
 
-// Complete finalizes a leased job with a remote worker's result and
-// merges its cache deltas into the coordinator's sharded caches. The
+// Complete finalizes a leased job with its worker's result and merges
+// the cache deltas into the coordinator's sharded caches. The
 // deltas are merged only when the completion is accepted: an unknown
 // job, a lost lease or a malformed outcome must not be able to write
 // into the shared caches (a poisoned score entry would silently break
@@ -666,11 +578,10 @@ func (s *Service) Complete(workerID, token, jobID string, res WorkerResult) erro
 		}
 		s.met.observeFunnel(tenant, timings, wall)
 	}
-	// The per-terminal checkpoint runs here, after the merge
-	// (completeRemote deliberately skips onTerminal): a checkpoint
-	// taken before the deltas land would systematically exclude this
-	// very job's docking labels — the main warmth a remote run
-	// contributes.
+	// The per-terminal checkpoint runs here, after the merge: a
+	// checkpoint taken before the deltas land would systematically
+	// exclude this very job's docking labels — the main warmth a remote
+	// run contributes.
 	_ = s.Snapshot()
 	return nil
 }
@@ -710,7 +621,7 @@ func (s *Service) JobsFiltered(q JobQuery) []JobSnapshot {
 // Cancel requests cancellation of a job; false if the ID is unknown
 // or the service is already shut down.
 func (s *Service) Cancel(id string) bool {
-	_, err := s.sched.cancelJob(id)
+	_, err := s.sched.cancelJob(id, "")
 	return err == nil
 }
 
@@ -761,27 +672,7 @@ func (s *Service) resolveSummary(ref *blob.Ref) (*ResultSummary, error) {
 	return &sum, nil
 }
 
-// FullResult returns the complete in-memory campaign result of a done
-// job (for in-process embedders; not exposed over HTTP). Returns
-// ErrNoResult once retention trimming has released the full result —
-// the summary remains available via Result.
-func (s *Service) FullResult(id string) (*campaign.Result, error) {
-	j, ok := s.sched.get(id)
-	if !ok {
-		return nil, ErrUnknownJob
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state == StateDone && j.result != nil {
-		if j.result.full == nil {
-			return nil, fmt.Errorf("%w: job %s's full result was released by retention trimming", ErrNoResult, id)
-		}
-		return j.result.full, nil
-	}
-	return nil, fmt.Errorf("%w: job %s is %s", ErrNotFinished, id, j.state)
-}
-
-// Sentinel errors for Result/FullResult.
+// Sentinel errors for Result.
 var (
 	ErrUnknownJob  = errors.New("service: unknown job")
 	ErrNotFinished = errors.New("service: job not finished")
@@ -798,13 +689,14 @@ func (s *Service) FeatureCacheStats() CacheStats { return s.features.Stats() }
 func (s *Service) Uptime() time.Duration { return time.Since(s.started) }
 
 // Shutdown gracefully drains the service: new submissions are
-// rejected, the pending queue stops popping, running jobs are
-// canceled, and — with a StateDir — a final cache checkpoint is
+// rejected, the pending queue stops leasing, the local slots abandon
+// their runs, and — with a StateDir — a final cache checkpoint is
 // written and the journal is closed. Jobs interrupted by the drain are
 // not journaled as terminal, so a service reopened on the same
 // StateDir re-enqueues them. Idempotent.
 func (s *Service) Shutdown() {
 	s.sched.shutdown()
+	s.stopSlots()
 	if s.stateDir == "" {
 		return
 	}

@@ -114,7 +114,7 @@ func TestCancelRunningJob(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		snap, _ := s.Status(id)
-		if snap.State == StateRunning {
+		if snap.State == StateLeased {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -137,6 +137,43 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 	if _, err := s.Result(id); err == nil {
 		t.Fatal("Result succeeded for a canceled job")
+	}
+}
+
+// TestLocalSlotsLeaseConcurrently: a burst of submissions fans out
+// across idle local slots — each slot that wins a lease wakes the next
+// — so every slot holds a lease at once, each under its own ID.
+func TestLocalSlotsLeaseConcurrently(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts real campaigns")
+	}
+	const slots = 3
+	s := newTestService(t, slots)
+	req := smallReq()
+	req.LibrarySize = 4000
+	req.TrainSize = 800
+	req.FastProtocols = false
+	var ids []string
+	for i := 0; i < slots; i++ {
+		id, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	waitFor(t, "every slot to hold a lease", func() bool {
+		holders := map[string]bool{}
+		for _, snap := range s.Jobs() {
+			if snap.State == StateLeased {
+				holders[snap.Worker] = true
+			}
+		}
+		return len(holders) == slots
+	})
+	for _, id := range ids {
+		if !s.Cancel(id) {
+			t.Fatalf("cancel %s refused", id)
+		}
 	}
 }
 
@@ -198,47 +235,6 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := s.Result("job-999999"); err == nil {
 		t.Fatal("result of unknown job succeeded")
-	}
-}
-
-func TestResultRetentionTrimming(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two full (small) campaigns")
-	}
-	s := NewService(Options{Workers: 1, CacheShards: 8, MaxRetainedResults: 1})
-	t.Cleanup(s.Shutdown)
-	id1, err := s.Submit(smallReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Wait(id1, 5*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.FullResult(id1); err != nil {
-		t.Fatalf("full result unavailable before trimming: %v", err)
-	}
-	req2 := smallReq()
-	req2.LibOffset = 1000
-	id2, err := s.Submit(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Wait(id2, 5*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	// Bound is 1: the older job's full result is released, the newer
-	// kept; summaries survive for both.
-	if _, err := s.FullResult(id1); err == nil {
-		t.Fatal("job 1's full result survived past the retention bound")
-	}
-	if _, err := s.FullResult(id2); err != nil {
-		t.Fatalf("job 2's full result missing: %v", err)
-	}
-	for _, id := range []string{id1, id2} {
-		sum, err := s.Result(id)
-		if err != nil || sum.Funnel.Screened == 0 {
-			t.Fatalf("summary for %s lost: %+v, %v", id, sum, err)
-		}
 	}
 }
 

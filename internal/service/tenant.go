@@ -89,7 +89,7 @@ type TenantLimits struct {
 	// service-wide default is set.
 	MaxQueued int
 	// MaxRunning caps how many of the tenant's jobs may execute at once
-	// (in-process running plus remote leases). 0 means unbounded.
+	// (its outstanding leases, local and remote). 0 means unbounded.
 	MaxRunning int
 	// SubmitPerSec is the tenant's token-bucket submit rate; 0 disables
 	// rate limiting for the tenant.
@@ -133,9 +133,10 @@ type tenantQueue struct {
 	maxQueued  int
 	maxRunning int
 	pending    []*job
-	// inflight counts the tenant's jobs currently executing: in-process
-	// running plus remote leases. The concurrency cap gates on it, and
-	// the preemption arbiter compares it against the tenant's fair share.
+	// inflight counts the tenant's jobs currently executing: its
+	// outstanding leases, local and remote. The concurrency cap gates on
+	// it, and the preemption arbiter compares it against the tenant's
+	// fair share.
 	inflight int
 }
 

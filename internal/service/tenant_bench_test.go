@@ -25,11 +25,11 @@ func BenchmarkTenantQueueLatency(b *testing.B) {
 			s := remoteScheduler(time.Hour, nil)
 			now := time.Now()
 			for k := 0; k < flood; k++ {
-				if _, err := s.submit(tenantReq("flood", 0), now); err != nil {
+				if _, err := s.submit(tenantReq("flood", 0), now, ""); err != nil {
 					b.Fatal(err)
 				}
 			}
-			lightID, err := s.submit(tenantReq(lightTenant, 0), now)
+			lightID, err := s.submit(tenantReq(lightTenant, 0), now, "")
 			if err != nil {
 				b.Fatal(err)
 			}

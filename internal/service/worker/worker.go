@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -29,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"impeccable/internal/campaign"
 	"impeccable/internal/chem"
 	"impeccable/internal/dock"
 	"impeccable/internal/receptor"
@@ -73,7 +71,7 @@ type Options struct {
 // Worker pulls leased jobs from a coordinator and executes them. Its
 // score and feature caches persist across jobs, so repeated library
 // windows on the same worker dock for free — the same economics the
-// coordinator's shared caches give in-process workers.
+// coordinator's shared caches give its local slots.
 type Worker struct {
 	opts    Options
 	client  *http.Client
@@ -188,14 +186,16 @@ func (w *Worker) RunOne(ctx context.Context) (bool, error) {
 	}
 	w.logf("worker %s: leased %s (target %s, expires %s)",
 		w.opts.ID, grant.JobID, grant.Req.Target, grant.ExpiresAt.Format(time.RFC3339))
-	return true, w.execute(ctx, &grant)
+	return true, w.runGrant(ctx, &grant)
 }
 
-// execute runs one leased campaign with heartbeats and posts the
-// outcome. A run whose lease is lost (expiry, cancel, coordinator
-// restart that re-assigned it) is abandoned without posting — the
-// coordinator owns the job again and the rerun is deterministic.
-func (w *Worker) execute(ctx context.Context, g *service.LeaseGrant) error {
+// runGrant runs one leased campaign through service.RunLeased against
+// the worker's persistent caches, heartbeating over HTTP, and posts the
+// outcome with the run's cache deltas and stats. A run whose lease is
+// lost (expiry, cancel, preemption, coordinator restart that
+// re-assigned it) is abandoned without posting — the coordinator owns
+// the job again and the rerun is deterministic.
+func (w *Worker) runGrant(ctx context.Context, g *service.LeaseGrant) error {
 	t, ok := w.targets[g.Req.Target]
 	if !ok {
 		// Fail the job loudly rather than abandoning the lease: a pool
@@ -213,44 +213,20 @@ func (w *Worker) execute(ctx context.Context, g *service.LeaseGrant) error {
 	cfg.DockCache = scores
 	cfg.Features = features
 
-	cancel := make(chan struct{})
-	var abandoned atomic.Bool
-	var once sync.Once
-	abort := func() { abandoned.Store(true); once.Do(func() { close(cancel) }) }
-	cfg.Cancel = cancel
-	var prog progressState
-	cfg.Progress = prog.set
-
 	// Snapshot the persistent caches before the run: the difference
 	// afterwards is this job's contribution, reported with the
 	// completion so the coordinator's /metrics shows fleet-wide cache
 	// effectiveness (impeccable_worker_cache_*_total).
 	scoresBefore, featuresBefore := w.scores.Stats(), w.features.Stats()
 	runStart := time.Now()
-
-	runDone := make(chan struct{})
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		w.heartbeatLoop(ctx, g, &prog, runDone, abort)
-	}()
-
-	res, err := func() (res *campaign.Result, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("worker: campaign panicked: %v", r)
-			}
-		}()
-		return campaign.RunWithPool(cfg, nil, g.Req.LibOffset)
-	}()
-	close(runDone)
-	<-hbDone
-
-	if abandoned.Load() || ctx.Err() != nil {
+	out, abandoned := service.RunLeased(ctx, g, cfg, func(stage string, progress float64) error {
+		return w.heartbeat(ctx, g, stage, progress)
+	})
+	if abandoned {
 		w.logf("worker %s: abandoned %s (lease lost or shutting down)", w.opts.ID, g.JobID)
 		return nil
 	}
-	out := service.WorkerResult{Scores: scores.take(), Features: features.take()}
+	out.Scores, out.Features = scores.take(), features.take()
 	if ds, df := scores.droppedN(), features.droppedN(); ds+df > 0 {
 		w.logf("worker %s: %s delta capped (%d score, %d feature entries not shipped; coordinator cache stays colder)",
 			w.opts.ID, g.JobID, ds, df)
@@ -260,70 +236,30 @@ func (w *Worker) execute(ctx context.Context, g *service.LeaseGrant) error {
 		FeatureCache: statsDelta(featuresBefore, w.features.Stats()),
 		WallSeconds:  time.Since(runStart).Seconds(),
 	}
-	switch {
-	case errors.Is(err, campaign.ErrCanceled):
-		out.Canceled = true
-	case err != nil:
-		out.Error = err.Error()
-	default:
-		out.Summary = &service.ResultSummary{
-			Funnel:          res.Funnel,
-			Top:             res.Top,
-			ScientificYield: res.ScientificYield,
-		}
-		out.Stats.Timings = res.Funnel.Timings
-		out.Stats.WallSeconds = res.Funnel.WallSeconds
+	if out.Summary != nil {
+		out.Stats.Timings = out.Summary.Funnel.Timings
+		out.Stats.WallSeconds = out.Summary.Funnel.WallSeconds
 	}
 	return w.postComplete(ctx, g, out)
 }
 
-// heartbeatLoop extends the lease at TTL/3 cadence, reporting the
-// remotely observed stage/progress, until the run finishes. It aborts
-// the run when the coordinator says the lease is lost, or when
-// heartbeats have failed for longer than the TTL (the lease has
-// certainly expired by then, so the job is no longer this worker's).
-func (w *Worker) heartbeatLoop(ctx context.Context, g *service.LeaseGrant, prog *progressState, runDone <-chan struct{}, abort func()) {
-	ttl := time.Duration(g.TTLSeconds * float64(time.Second))
-	if ttl <= 0 {
-		ttl = 30 * time.Second
-	}
-	interval := ttl / 3
-	if interval < 20*time.Millisecond {
-		interval = 20 * time.Millisecond
-	}
-	if interval > 10*time.Second {
-		interval = 10 * time.Second
-	}
-	deadline := time.Now().Add(ttl)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-runDone:
-			return
-		case <-ctx.Done():
-			abort()
-			return
-		case <-tick.C:
-			stage, frac := prog.get()
-			code, err := w.post(ctx, "/api/v1/worker/heartbeat", service.HeartbeatRequest{
-				WorkerID: w.opts.ID, Token: g.Token, JobID: g.JobID, Stage: stage, Progress: frac,
-			}, nil)
-			switch {
-			case err == nil && code == http.StatusOK:
-				deadline = time.Now().Add(ttl)
-			case code == http.StatusConflict || code == http.StatusNotFound:
-				w.logf("worker %s: lease on %s lost (%d), aborting run", w.opts.ID, g.JobID, code)
-				abort()
-				return
-			default:
-				if time.Now().After(deadline) {
-					w.logf("worker %s: no heartbeat through a full TTL on %s, aborting run", w.opts.ID, g.JobID)
-					abort()
-					return
-				}
-			}
-		}
+// heartbeat renews the lease over HTTP. 409 and 404 mean the lease is
+// lost; any other failure is transient until RunLeased's TTL budget
+// runs out.
+func (w *Worker) heartbeat(ctx context.Context, g *service.LeaseGrant, stage string, progress float64) error {
+	code, err := w.post(ctx, "/api/v1/worker/heartbeat", service.HeartbeatRequest{
+		WorkerID: w.opts.ID, Token: g.Token, JobID: g.JobID, Stage: stage, Progress: progress,
+	}, nil)
+	switch {
+	case err != nil:
+		return err
+	case code == http.StatusOK:
+		return nil
+	case code == http.StatusConflict || code == http.StatusNotFound:
+		w.logf("worker %s: lease on %s lost (%d), aborting run", w.opts.ID, g.JobID, code)
+		return fmt.Errorf("%w (%d)", service.ErrLeaseLost, code)
+	default:
+		return fmt.Errorf("heartbeat: coordinator answered %d", code)
 	}
 }
 
@@ -412,29 +348,6 @@ func statsDelta(before, after service.CacheStats) service.CacheStats {
 		d.HitRate = float64(d.Hits) / float64(lookups)
 	}
 	return d
-}
-
-// progressState is the campaign's latest stage/progress, written by
-// (possibly concurrent) Progress callbacks and read by heartbeats.
-type progressState struct {
-	mu    sync.Mutex
-	stage string
-	frac  float64
-}
-
-func (p *progressState) set(stage string, frac float64) {
-	p.mu.Lock()
-	p.stage = stage
-	if frac > p.frac {
-		p.frac = frac
-	}
-	p.mu.Unlock()
-}
-
-func (p *progressState) get() (string, float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stage, p.frac
 }
 
 // maxFeatureDelta bounds the feature-cache delta shipped per job: the
